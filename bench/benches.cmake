@@ -43,11 +43,10 @@ sdb_bench(bench_weekly_wear)
 sdb_bench(bench_scenario_packs)
 
 # The MC bench doubles as the report-schema smoke: a tiny run emits
-# BENCH_monte_carlo.json, then the CI checker validates the schema (no
-# baseline gate here — perf gating runs in the perf-smoke CI job, where the
-# build is not sanitizer-skewed). Fixtures order the pair.
+# BENCH_monte_carlo.json, then the CI checker validates the schema.
+# Fixtures order the pair.
 add_test(NAME bench_monte_carlo_json
-  COMMAND bench_monte_carlo --runs 2 --reps 1 --lanes 64 --steps 200
+  COMMAND bench_monte_carlo --runs 2 --reps 1
           --bench-out ${CMAKE_BINARY_DIR}/bench/BENCH_monte_carlo.json)
 set_tests_properties(bench_monte_carlo_json PROPERTIES FIXTURES_SETUP bench_mc_json)
 add_test(NAME bench_monte_carlo_json_schema

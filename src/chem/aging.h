@@ -21,7 +21,7 @@
 namespace sdb {
 
 // Facade over the soa kernel's aging primitives (soa_kernel.h): throughput
-// recording delegates to the same inline code the batch lanes run.
+// recording delegates to the same inline code soa::StepLaneOnce runs.
 class AgingModel {
  public:
   explicit AgingModel(const BatteryParams* params);
@@ -64,7 +64,7 @@ class AgingModel {
 
   const BatteryParams& params() const { return *params_; }
 
-  // SoA-lane access for the Cell facade and gather/scatter (soa_kernel.h).
+  // Kernel-state access for the Cell facade and its lane-state export.
   soa::AgingState& kernel_state() { return state_; }
   const soa::AgingState& kernel_state() const { return state_; }
 

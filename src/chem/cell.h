@@ -90,11 +90,10 @@ class Cell {
   // Cumulative resistive losses across the cell's lifetime.
   Energy total_loss() const { return Joules(total_loss_j_); }
 
-  // --- SoA kernel access (soa_kernel.h) -------------------------------------
-  // The step methods above are a single-lane facade over soa::StepLaneOnce;
-  // these hooks let CellLanes gather/scatter the same state, so batch and
-  // facade stepping are bit-identical and round-trips are lossless.
-  const soa::LaneParams& lane_params() const { return lane_params_; }
+  // --- Kernel state (soa_kernel.h) ------------------------------------------
+  // The step methods above are a single-lane facade over soa::StepLaneOnce.
+  // These hooks copy the kernel's dynamic state out and back in losslessly
+  // (the checkpoint codec and bit-exact tests use them).
   soa::LaneState ExportLaneState() const;
   void ImportLaneState(const soa::LaneState& state);
 

@@ -85,32 +85,6 @@ bool BatteryPack::AllFull(double threshold) const {
   return true;
 }
 
-void BatteryPack::StepLanes(const std::vector<soa::LaneRequest>& requests, Duration dt) {
-  SDB_CHECK(requests.size() == cells_.size());
-  if (lanes_.size() != cells_.size()) {
-    lanes_ = soa::CellLanes();
-    for (const Cell& c : cells_) {
-      lanes_.AddLane(c);
-    }
-  }
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    if (requests[i].op == soa::LaneOp::kIdle || open_circuit_[i]) {
-      lanes_.SetRequest(i, soa::LaneOp::kIdle, 0.0);
-      continue;
-    }
-    lanes_.SetRequest(i, requests[i].op, requests[i].magnitude);
-    lanes_.Gather(i, cells_[i]);
-  }
-  lanes_.AdvanceBatch(dt.value());
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    // Idle lanes were never gathered this call; leave the cell untouched,
-    // exactly as the scalar loops leave unstepped cells alone.
-    if (lanes_.request_op(i) != soa::LaneOp::kIdle) {
-      lanes_.Scatter(i, &cells_[i]);
-    }
-  }
-}
-
 PackStepResult BatteryPack::StepParallelDischarge(Power power, Duration dt) {
   SDB_TRACE_SPAN("chem", "pack.step_parallel_discharge");
   SDB_CHECK(!cells_.empty());

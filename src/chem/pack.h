@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/chem/cell.h"
-#include "src/chem/soa_kernel.h"
 #include "src/util/status.h"
 #include "src/util/units.h"
 
@@ -54,18 +53,6 @@ class BatteryPack {
   bool IsOpenCircuit(size_t i) const;
   bool AnyOpenCircuit() const;
 
-  // --- SDB batched stepping --------------------------------------------------
-
-  // Steps every cell through the SoA kernel in one AdvanceBatch call: lane i
-  // of `requests` drives cell i. Open-circuit cells are forced to kIdle (no
-  // current flows into a disconnected lane) regardless of the request,
-  // mirroring the scalar circuits, which never step a disconnected cell.
-  // Idle lanes are untouched. Bit-identical to calling the cells' Step*
-  // methods in index order (they share one kernel; DESIGN.md §12). Results
-  // stay readable via lane_result(i) until the next StepLanes call.
-  void StepLanes(const std::vector<soa::LaneRequest>& requests, Duration dt);
-  const soa::RawStepResult& lane_result(size_t i) const { return lanes_.result(i); }
-
   // --- Traditional interconnect baselines -----------------------------------
 
   // Parallel chain: solves the shared terminal voltage V such that the cell
@@ -84,10 +71,6 @@ class BatteryPack {
  private:
   std::vector<Cell> cells_;
   std::vector<bool> open_circuit_;
-  // Lazily (re)built scratch lanes for StepLanes. Dynamic cell state is
-  // re-gathered every call (cells also move through scalar paths); keeping
-  // the container avoids re-unpacking parameters each tick.
-  soa::CellLanes lanes_;
 };
 
 }  // namespace sdb

@@ -1,17 +1,11 @@
 #include "src/chem/soa_kernel.h"
 
-#include <atomic>
-
-#include "src/chem/cell.h"
 #include "src/obs/metrics.h"
-#include "src/util/check.h"
 
 namespace sdb {
 namespace soa {
 
 namespace {
-
-std::atomic<bool> g_batch_stepping{true};
 
 obs::Counter& CellStepCounter() {
   static obs::Counter* counter =
@@ -21,60 +15,9 @@ obs::Counter& CellStepCounter() {
 
 }  // namespace
 
-void SetBatchStepping(bool enabled) {
-  g_batch_stepping.store(enabled, std::memory_order_relaxed);
-}
-
-bool BatchStepping() { return g_batch_stepping.load(std::memory_order_relaxed); }
-
 uint64_t TotalCellSteps() { return CellStepCounter().value(); }
 
 void AddCellSteps(uint64_t n) { CellStepCounter().Increment(n); }
-
-size_t CellLanes::AddLane(const Cell& cell) {
-  size_t lane = params_.size();
-  params_.push_back(cell.lane_params());
-  state_.push_back(LaneState{});
-  requests_.push_back(LaneRequest{});
-  results_.push_back(RawStepResult{});
-  Gather(lane, cell);
-  return lane;
-}
-
-void CellLanes::Gather(size_t lane, const Cell& cell) {
-  SDB_CHECK(lane < size());
-  state_[lane] = cell.ExportLaneState();
-}
-
-void CellLanes::Scatter(size_t lane, Cell* cell) const {
-  SDB_CHECK(lane < size());
-  SDB_CHECK(cell != nullptr);
-  cell->ImportLaneState(state_[lane]);
-}
-
-void CellLanes::ClearRequests() {
-  for (auto& r : requests_) {
-    r = LaneRequest{};
-  }
-}
-
-void CellLanes::AdvanceBatch(double dt_s) {
-  const size_t n = size();
-  uint64_t stepped = 0;
-  for (size_t l = 0; l < n; ++l) {
-    if (requests_[l].op == LaneOp::kIdle) {
-      results_[l] = RawStepResult{};
-      continue;
-    }
-    LaneState& s = state_[l];
-    results_[l] = StepLaneOnce(params_[l], s.electrical, s.aging, s.thermal, s.total_loss_j,
-                               requests_[l].op, requests_[l].magnitude, dt_s);
-    ++stepped;
-  }
-  if (stepped > 0) {
-    AddCellSteps(stepped);
-  }
-}
 
 }  // namespace soa
 }  // namespace sdb

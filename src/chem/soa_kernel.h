@@ -1,16 +1,13 @@
-// Structure-of-arrays batch kernel for the chem hot path (ROADMAP item 2).
+// Raw-double kernel for the chem hot path.
 //
 // Every electro-chemical update in the repo funnels through the inline
 // primitives below: the Thevenin electrical step, the cycle-counting aging
 // update and the lumped thermal update all operate on raw doubles held in
 // small per-subsystem state bundles. `chem::Cell` (and `TheveninModel` /
 // `AgingModel` / `ThermalModel`) are thin facades that call the same
-// primitives on their own single-lane state, while `CellLanes` packs many
-// cells — or many Monte-Carlo scenario replicas — into densely packed lane
-// arrays and advances all of them per `AdvanceBatch` call. Because facade
-// and batch share one implementation, their outputs
-// are bit-identical by construction (see DESIGN.md §12), which is what lets
-// every pre-existing golden stay pinned while the sweep engine batches.
+// primitives on their own single-lane state, and `StepLaneOnce` is the one
+// full cell step every circuit, pack baseline and sweep drives through
+// `Cell` (see DESIGN.md §12).
 //
 // Two deliberate micro-optimisations, both bit-exact:
 //   * curve lookups use PiecewiseLinearCurve::EvaluateHinted with per-lane
@@ -25,7 +22,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "src/chem/battery_params.h"
 #include "src/util/check.h"
@@ -33,9 +29,6 @@
 #include "src/util/numeric.h"
 
 namespace sdb {
-
-class Cell;
-
 namespace soa {
 
 // Below this health the battery is end-of-life; fade stops compounding
@@ -46,7 +39,7 @@ inline constexpr double kCycleThresholdFraction = 0.8;
 
 // --- Per-subsystem state bundles -------------------------------------------
 // These are the dynamic doubles of one lane (= one cell). The facade models
-// own one bundle each; CellLanes stores one LaneState block per lane.
+// own one bundle each.
 
 struct ElectricalState {
   double soc = 0.0;
@@ -121,8 +114,8 @@ struct LaneParams {
   double cold_resistance_per_k = 0.0;
 };
 
-// Full dynamic state of one lane, for gather/scatter between a Cell and a
-// CellLanes slot (Cell::ExportLaneState / ImportLaneState).
+// Full dynamic state of one lane (Cell::ExportLaneState / ImportLaneState;
+// the checkpoint codec round-trips cells through it).
 struct LaneState {
   ElectricalState electrical;
   AgingState aging;
@@ -141,20 +134,14 @@ struct RawStepResult {
   bool limited = false;
 };
 
-// What a lane is asked to do this step. kIdle lanes are untouched — exactly
-// like the scalar circuits, which never step a cell that was allocated
-// nothing (or is disconnected by an open-circuit fault).
+// What one cell step is asked to do. There is no idle op: the circuits
+// skip a cell that was allocated nothing (or is disconnected by an
+// open-circuit fault) rather than stepping it.
 enum class LaneOp : uint8_t {
-  kIdle = 0,
   kDischargePower,    // magnitude = watts at the terminals.
   kDischargeCurrent,  // magnitude = amps (clamped to the datasheet limit).
   kChargePower,       // magnitude = watts absorbed at the terminals.
   kChargeCurrent,     // magnitude = amps (clamped to the datasheet limit).
-};
-
-struct LaneRequest {
-  LaneOp op = LaneOp::kIdle;
-  double magnitude = 0.0;
 };
 
 // --- Parameter-view builders ------------------------------------------------
@@ -320,9 +307,6 @@ inline RawStepResult ElectricalStep(const ElectricalParamsView& p, ElectricalSta
       current_a = -std::min(magnitude, p.j_max_a);
       break;
     }
-    case LaneOp::kIdle:
-      SDB_DCHECK(false);
-      return RawStepResult{};
   }
   RawStepResult result = ElectricalIntegrate(p, s, current_a, dt_s, capacity_c, ocv0, r0);
   result.limited = result.limited || limited;
@@ -404,9 +388,7 @@ inline double ColdResistanceMultiplier(double cold_resistance_per_k, double temp
 
 // One complete cell step: SyncAging, electrical integration, then the
 // aging/thermal/loss accounting — the exact op sequence of
-// Cell::Step{Discharge,Charge}{Power,Current}. Both the Cell facade and
-// CellLanes::AdvanceBatch run THIS function, which is the bit-identity
-// invariant the differential suite pins.
+// Cell::Step{Discharge,Charge}{Power,Current}, which run THIS function.
 inline RawStepResult StepLaneOnce(const LaneParams& p, ElectricalState& es, AgingState& as,
                                   ThermalState& ts, double& total_loss_j, LaneOp op,
                                   double magnitude, double dt_s) {
@@ -431,85 +413,12 @@ inline RawStepResult StepLaneOnce(const LaneParams& p, ElectricalState& es, Agin
   return result;
 }
 
-// --- Batch container ---------------------------------------------------------
+// --- Accounting ---------------------------------------------------------------
 
-// Flat lanes for a set of cells. State lives in one contiguous LaneState
-// block per lane; parameters are unpacked once per lane. Usage per step:
-// Gather (if the cells moved outside the batch), SetRequest per lane,
-// AdvanceBatch, read result(i), Scatter back.
-class CellLanes {
- public:
-  // Appends a lane initialised from `cell` (params + dynamic state).
-  // The cell's BatteryParams address must stay stable (it does: Cell holds
-  // them behind a unique_ptr).
-  size_t AddLane(const Cell& cell);
-
-  // Copies the cell's dynamic state into lane `lane`.
-  void Gather(size_t lane, const Cell& cell);
-  // Writes lane `lane`'s state back into `cell`.
-  void Scatter(size_t lane, Cell* cell) const;
-
-  // Hot per-lane accessors are inline with debug-only bounds checks: they
-  // run once per lane per tick inside the batch drivers.
-  void SetRequest(size_t lane, LaneOp op, double magnitude) {
-    SDB_DCHECK(lane < size());
-    requests_[lane] = LaneRequest{op, magnitude};
-  }
-  // Resets every lane to kIdle.
-  void ClearRequests();
-
-  // Advances every non-idle lane by dt_s seconds. Idle lanes are untouched
-  // (their result reads as all-zero). Lane order is 0..size()-1; lanes are
-  // independent, so this matches stepping the cells one by one.
-  void AdvanceBatch(double dt_s);
-
-  size_t size() const { return params_.size(); }
-  const RawStepResult& result(size_t lane) const {
-    SDB_DCHECK(lane < size());
-    return results_[lane];
-  }
-  LaneOp request_op(size_t lane) const {
-    SDB_DCHECK(lane < size());
-    return requests_[lane].op;
-  }
-
-  // State peeks (tests / telemetry).
-  double soc(size_t lane) const {
-    SDB_DCHECK(lane < size());
-    return state_[lane].electrical.soc;
-  }
-  double temperature_k(size_t lane) const {
-    SDB_DCHECK(lane < size());
-    return state_[lane].thermal.temp_k;
-  }
-
- private:
-  std::vector<LaneParams> params_;
-  // One contiguous state block per lane. A strict per-field SoA split was
-  // measured SLOWER here: each step reads and writes nearly every field of
-  // its lane, so one block (3 cache lines) beats ~20 parallel field
-  // streams, and direct struct-member access lets the compiler keep the
-  // lane in registers — reference bundles into parallel double arrays
-  // would force it to assume any store aliases any later load. The batch
-  // win comes from the dense request/result arrays and from stepping all
-  // lanes in one call with no facade bookkeeping (see DESIGN.md §12).
-  std::vector<LaneState> state_;
-  std::vector<LaneRequest> requests_;
-  std::vector<RawStepResult> results_;
-};
-
-// --- Process-wide switches & accounting -------------------------------------
-
-// Batched pack stepping on/off (default on). The scalar per-cell loops stay
-// behind this switch so differential tests can compare both paths; flipping
-// it never changes results, only which code path produces them.
-void SetBatchStepping(bool enabled);
-bool BatchStepping();
-
-// Total cell-steps executed process-wide (facade + batch), mirrored in the
-// obs counter "sdb.chem.cell_steps". Relaxed; concurrent sweeps both count.
+// Total cell-steps executed process-wide, mirrored in the obs counter
+// "sdb.chem.cell_steps". Relaxed; concurrent sweeps both count.
 uint64_t TotalCellSteps();
-// Internal: called by the facade (n=1) and AdvanceBatch (n=lanes stepped).
+// Internal: called by the Cell facade once per step.
 void AddCellSteps(uint64_t n);
 
 }  // namespace soa

@@ -14,7 +14,7 @@
 namespace sdb {
 
 // Facade over the soa kernel's thermal primitive (soa_kernel.h): Step runs
-// the same inline code the batch lanes run.
+// the same inline code soa::StepLaneOnce runs.
 class ThermalModel {
  public:
   // heat_capacity: J/K of the cell; thermal_conductance: W/K to ambient.
@@ -38,7 +38,7 @@ class ThermalModel {
   // Test/fault-injection hook: force the cell temperature.
   void set_temperature(Temperature t) { state_.temp_k = t.value(); }
 
-  // SoA-lane access for the Cell facade and gather/scatter (soa_kernel.h).
+  // Kernel-state access for the Cell facade and its lane-state export.
   soa::ThermalState& kernel_state() { return state_; }
   const soa::ThermalState& kernel_state() const { return state_; }
 

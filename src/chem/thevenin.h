@@ -47,7 +47,7 @@ inline StepResult ToStepResult(const soa::RawStepResult& raw) {
 // sdb::Cell; this class treats capacity as externally supplied so the same
 // solver serves both fresh and degraded cells. The step methods are a
 // single-lane facade over the soa kernel primitives (soa_kernel.h), so this
-// class and CellLanes::AdvanceBatch produce bit-identical state.
+// class and the Cell facade produce bit-identical state.
 class TheveninModel {
  public:
   // `params` must outlive the model and be valid (see BatteryParams::Validate).
@@ -94,7 +94,7 @@ class TheveninModel {
 
   const BatteryParams& params() const { return *params_; }
 
-  // SoA-lane access for the Cell facade and gather/scatter (soa_kernel.h).
+  // Kernel-state access for the Cell facade and its lane-state export.
   soa::ElectricalState& kernel_state() { return state_; }
   const soa::ElectricalState& kernel_state() const { return state_; }
 

@@ -19,6 +19,7 @@
 #include "src/os/predictor.h"
 #include "src/os/workload_classifier.h"
 #include "src/util/check.h"
+#include "src/util/fingerprint.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
@@ -36,17 +37,6 @@ constexpr size_t kMaxViolationsPerSchedule = 16;
 constexpr uint64_t kCrashMicroSalt = 0xC4A5B0075EEDULL;
 constexpr uint64_t kCrashPlanSalt = 0xCAA5FF1A55EEDULL;
 constexpr uint64_t kTornWriteSalt = 0x70A2217E5EEDULL;
-
-uint64_t MixU64(uint64_t h, uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
-uint64_t MixDouble(uint64_t h, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return MixU64(h, bits);
-}
 
 bool SameBits(double a, double b) {
   uint64_t ab;

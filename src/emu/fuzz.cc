@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -20,6 +19,7 @@
 #include "src/hw/microcontroller.h"
 #include "src/hw/safety.h"
 #include "src/util/check.h"
+#include "src/util/fingerprint.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
@@ -38,11 +38,6 @@ constexpr uint64_t kCrashSalt = 0xC2A54D175EEDULL;
 constexpr uint64_t kFlipSalt = 0xF11BD1CE5EEDULL;
 constexpr uint64_t kChargeFaultSalt = 0xC4A26EFA5EEDULL;
 constexpr uint64_t kFuzzTornSalt = 0xF0221025EEDULL;
-
-uint64_t MixU64(uint64_t h, uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  return h;
-}
 
 uint64_t HashString(const std::string& s) {
   // FNV-1a; folded into the fingerprint via MixU64.

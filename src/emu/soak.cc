@@ -11,6 +11,7 @@
 #include "src/emu/simulator.h"
 #include "src/hw/command_link.h"
 #include "src/hw/safety.h"
+#include "src/util/fingerprint.h"
 #include "src/util/thread_pool.h"
 
 namespace sdb {
@@ -23,17 +24,6 @@ constexpr size_t kMaxViolationsPerSchedule = 16;
 // Every schedule derives its rig seeds from the schedule seed alone, so a
 // report line ("seed 17 violated X") is all that is needed to replay it.
 constexpr uint64_t kMicroSeedSalt = 0x50AB0B5EEDULL;
-
-uint64_t MixU64(uint64_t h, uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
-uint64_t MixDouble(uint64_t h, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return MixU64(h, bits);
-}
 
 float ReadF32(const uint8_t* data) {
   float value;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "src/chem/soa_kernel.h"
 #include "src/obs/event.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
@@ -149,11 +148,9 @@ ChargeTick SdbChargeCircuit::Step(BatteryPack& pack, const std::vector<double>& 
     }
   }
 
-  // Convert supply-side power to battery-terminal power and step the cells.
-  // Every cell's bus voltage and fixed-point inversion read only pre-step
-  // state of that same cell, so all terminal powers can be computed before
-  // any cell steps — which is what lets the batch path advance all lanes in
-  // one kernel call, bit-identical to the scalar loop.
+  // Convert supply-side power to battery-terminal power. Every cell's bus
+  // voltage and fixed-point inversion read only pre-step state of that same
+  // cell, so all terminal powers are computed before any cell steps.
   std::vector<double> bus_v(n, 0.0);
   std::vector<double> p_batt(n, 0.0);
   for (size_t i = 0; i < n; ++i) {
@@ -176,22 +173,11 @@ ChargeTick SdbChargeCircuit::Step(BatteryPack& pack, const std::vector<double>& 
   double used_w = 0.0;
   double circuit_loss_j = 0.0;
   double battery_loss_j = 0.0;
-  const bool batched = soa::BatchStepping();
-  if (batched) {
-    std::vector<soa::LaneRequest> lane_requests(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (alloc[i] > 0.0) {
-        lane_requests[i] = {soa::LaneOp::kChargePower, p_batt[i]};
-      }
-    }
-    pack.StepLanes(lane_requests, dt);
-  }
   for (size_t i = 0; i < n; ++i) {
     if (alloc[i] <= 0.0) {
       continue;
     }
-    StepResult step = batched ? ToStepResult(pack.lane_result(i))
-                              : pack.cell(i).StepChargePower(Watts(p_batt[i]), dt);
+    StepResult step = pack.cell(i).StepChargePower(Watts(p_batt[i]), dt);
     double absorbed_w = -step.energy_at_terminals.value() / dt.value();
     if (absorbed_w <= 0.0) {
       continue;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/chem/soa_kernel.h"
 #include "src/obs/event.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
@@ -152,41 +151,18 @@ DischargeTick SdbDischargeCircuit::Step(BatteryPack& pack, const std::vector<dou
     }
   }
 
-  // Step the cells and account energies. The batched path packs all cells
-  // into SoA lanes and advances them in one kernel call; the scalar loop is
-  // kept behind the switch for differential testing (both are bit-identical
-  // — they share soa::StepLaneOnce).
+  // Step the cells and account energies.
   double terminal_j = 0.0;
   double battery_loss_j = 0.0;
-  if (soa::BatchStepping()) {
-    std::vector<soa::LaneRequest> lane_requests(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (request[i] > 0.0) {
-        lane_requests[i] = {soa::LaneOp::kDischargePower, request[i]};
-      }
+  for (size_t i = 0; i < n; ++i) {
+    if (request[i] <= 0.0) {
+      continue;
     }
-    pack.StepLanes(lane_requests, dt);
-    for (size_t i = 0; i < n; ++i) {
-      if (request[i] <= 0.0) {
-        continue;
-      }
-      const soa::RawStepResult& step = pack.lane_result(i);
-      tick.currents[i] = Amps(step.current_a);
-      tick.battery_power[i] = Watts(step.energy_terminals_j / dt.value());
-      terminal_j += step.energy_terminals_j;
-      battery_loss_j += step.energy_lost_j;
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      if (request[i] <= 0.0) {
-        continue;
-      }
-      StepResult step = pack.cell(i).StepDischargePower(Watts(request[i]), dt);
-      tick.currents[i] = step.current;
-      tick.battery_power[i] = Watts(step.energy_at_terminals.value() / dt.value());
-      terminal_j += step.energy_at_terminals.value();
-      battery_loss_j += step.energy_lost.value();
-    }
+    StepResult step = pack.cell(i).StepDischargePower(Watts(request[i]), dt);
+    tick.currents[i] = step.current;
+    tick.battery_power[i] = Watts(step.energy_at_terminals.value() / dt.value());
+    terminal_j += step.energy_at_terminals.value();
+    battery_loss_j += step.energy_lost.value();
   }
   double total_terminal_w = terminal_j / dt.value();
   for (size_t i = 0; i < n; ++i) {

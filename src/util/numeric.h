@@ -34,7 +34,7 @@ struct QuadraticRoots {
 
 // Solves the quadratic; handles the degenerate linear case (a == 0). Roots
 // are ordered lo <= hi. Inline: this sits on the per-cell-step hot path of
-// the SoA kernel (src/chem/soa_kernel.h).
+// the chem kernel (src/chem/soa_kernel.h).
 inline QuadraticRoots SolveQuadratic(double a, double b, double c) {
   QuadraticRoots roots;
   if (a == 0.0) {

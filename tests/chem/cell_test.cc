@@ -88,6 +88,55 @@ TEST(CellTest, ChargeCurrentClampedToDatasheetLimit) {
   EXPECT_LE(-r.current.value(), cell.params().max_charge_current.value() + 1e-9);
 }
 
+// A request that would drain more than the cell holds is clamped to the
+// remaining charge (the slow path of the kernel's SoC clamp), and the
+// clamped current is what aging and the loss ledger record.
+TEST(CellTest, DischargeClampsAtEmpty) {
+  Cell cell = MakeCell(0.002);
+  StepResult r = cell.StepDischargeCurrent(Amps(1.0), Minutes(1.0));
+  EXPECT_TRUE(r.limited);
+  EXPECT_DOUBLE_EQ(cell.soc(), 0.0);
+  // 0.2% of 3000 mAh over 60 s.
+  EXPECT_NEAR(r.current.value(), 0.002 * 3.0 * 3600.0 / 60.0, 1e-9);
+  EXPECT_NEAR(cell.aging().total_charge_out().value(), r.current.value() * 60.0, 1e-9);
+  EXPECT_DOUBLE_EQ(cell.total_loss().value(), r.energy_lost.value());
+
+  // Once empty, further draws move nothing.
+  StepResult again = cell.StepDischargePower(Watts(2.0), Seconds(1.0));
+  EXPECT_TRUE(again.limited);
+  EXPECT_DOUBLE_EQ(again.current.value(), 0.0);
+  EXPECT_DOUBLE_EQ(cell.soc(), 0.0);
+}
+
+TEST(CellTest, ChargeClampsAtFull) {
+  Cell cell = MakeCell(0.999);
+  StepResult r = cell.StepChargeCurrent(Amps(1.0), Minutes(1.0));
+  EXPECT_TRUE(r.limited);
+  EXPECT_DOUBLE_EQ(cell.soc(), 1.0);
+  // 0.1% of 3000 mAh over 60 s, as a (negative) charge current.
+  EXPECT_NEAR(r.current.value(), -0.001 * 3.0 * 3600.0 / 60.0, 1e-9);
+  EXPECT_NEAR(cell.aging().total_charge_in().value(), -r.current.value() * 60.0, 1e-9);
+
+  StepResult again = cell.StepChargePower(Watts(2.0), Seconds(1.0));
+  EXPECT_TRUE(again.limited);
+  EXPECT_DOUBLE_EQ(again.current.value(), 0.0);
+  EXPECT_DOUBLE_EQ(cell.soc(), 1.0);
+}
+
+// Power requests far past the datasheet limits pin the current at the
+// limit and flag the step as limited.
+TEST(CellTest, PowerStepsClampedToDatasheetLimits) {
+  Cell cell = MakeCell(0.5);
+  StepResult d = cell.StepDischargePower(Watts(1.0e4), Seconds(1.0));
+  EXPECT_TRUE(d.limited);
+  EXPECT_LE(d.current.value(), cell.params().max_discharge_current.value());
+  EXPECT_GT(d.current.value(), 0.0);
+
+  StepResult c = cell.StepChargePower(Watts(1.0e4), Seconds(1.0));
+  EXPECT_TRUE(c.limited);
+  EXPECT_DOUBLE_EQ(-c.current.value(), cell.params().max_charge_current.value());
+}
+
 TEST(CellTest, MaxDischargePowerPositiveAndBounded) {
   Cell cell = MakeCell(0.8);
   double p_max = cell.MaxDischargePower().value();

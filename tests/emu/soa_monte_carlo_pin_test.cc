@@ -1,10 +1,7 @@
-// SoA-path Monte-Carlo pin: sweeping the two canonical golden scenarios
-// (§5.1 fast-charge tablet, §5.2 smart-watch week) with batch stepping on
-// must produce results exact-equal to the scalar path, at every jobs
-// count. This is the sweep-level face of the kernel's bit-identity
-// contract: goldens pin single runs, the diff suite pins single cells,
-// and this pins whole parallel sweeps across both circuits and a week of
-// carried-over aging.
+// Monte-Carlo cell-step accounting: a parallel sweep of a fast-charge
+// tablet scenario must tick the process-wide chem step counter, which the
+// sweep reports as MonteCarloResult::cell_steps and bench_monte_carlo
+// reads for mc_cell_steps_per_s.
 #include <gtest/gtest.h>
 
 #include "src/chem/library.h"
@@ -12,27 +9,14 @@
 #include "src/core/runtime.h"
 #include "src/emu/monte_carlo.h"
 #include "src/emu/simulator.h"
-#include "src/emu/workload.h"
 #include "src/hw/microcontroller.h"
 
 namespace sdb {
 namespace {
 
-// Restores the process-wide batch switch no matter how the test exits.
-class BatchSteppingGuard {
- public:
-  explicit BatchSteppingGuard(bool enabled) : previous_(soa::BatchStepping()) {
-    soa::SetBatchStepping(enabled);
-  }
-  ~BatchSteppingGuard() { soa::SetBatchStepping(previous_); }
-
- private:
-  bool previous_;
-};
-
 // Seed-varied flavour of GoldenResultsTest.FastChargeTablet, shortened to
-// one hour per run: empty tablet pack charging on a wall brick under a
-// light foreground load (both circuits active every tick).
+// one hour per run: empty tablet pack charging on a wall brick that also
+// covers a light foreground load.
 SimResult FastChargeTabletScenario(uint64_t seed) {
   std::vector<Cell> cells;
   cells.emplace_back(MakeFastChargeTablet(MilliAmpHours(4000.0)), 0.05);
@@ -51,90 +35,12 @@ SimResult FastChargeTabletScenario(uint64_t seed) {
                  PowerTrace::Constant(Watts(30.0), Hours(1.0)));
 }
 
-// Seed-varied flavour of GoldenResultsTest.SmartwatchWeek, compressed to
-// two days + nightly recharges so aging still carries across days.
-SimResult SmartwatchWeekScenario(uint64_t seed) {
-  std::vector<Cell> cells;
-  cells.emplace_back(MakeWatchLiIon(MilliAmpHours(200.0)), 1.0);
-  cells.emplace_back(MakeType4Bendable(MilliAmpHours(200.0)), 1.0);
-  SdbMicrocontroller micro = MakeDefaultMicrocontroller(std::move(cells), seed);
-  SdbRuntime runtime(&micro);
-  runtime.SetDischargingDirective(1.0);
-  runtime.SetWorkloadHint(WorkloadHint{Hours(9.0), Watts(0.70), Hours(1.0)});
-
-  SimConfig config;
-  config.tick = Seconds(10.0);
-  config.runtime_period = Minutes(10.0);
-  Simulator sim(&runtime, config);
-
-  SimResult total;
-  for (int day = 0; day < 2; ++day) {
-    SmartwatchDayConfig day_config;
-    day_config.seed = seed * 10 + static_cast<uint64_t>(day);
-    SimResult use = sim.Run(MakeSmartwatchDayTrace(day_config));
-    SimResult charge = sim.RunChargeOnly(Watts(2.5), Hours(3.0));
-    total.elapsed = total.elapsed + use.elapsed;
-    total.delivered = total.delivered + use.delivered;
-    total.battery_loss = total.battery_loss + use.battery_loss + charge.battery_loss;
-    total.circuit_loss = total.circuit_loss + use.circuit_loss + charge.circuit_loss;
-    total.final_soc = use.final_soc;
-    if (!total.first_shortfall.has_value()) {
-      total.first_shortfall = use.first_shortfall;
-    }
-  }
-  return total;
-}
-
-void ExpectSweepsBitIdentical(const MonteCarloResult& a, const MonteCarloResult& b,
-                              const char* context) {
-  SCOPED_TRACE(context);
-  EXPECT_EQ(a.runs, b.runs);
-  EXPECT_EQ(a.shortfall_runs, b.shortfall_runs);
-  const RunningStats* lhs[] = {&a.battery_life_h, &a.total_loss_j, &a.delivered_j};
-  const RunningStats* rhs[] = {&b.battery_life_h, &b.total_loss_j, &b.delivered_j};
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(lhs[i]->count(), rhs[i]->count());
-    EXPECT_EQ(lhs[i]->mean(), rhs[i]->mean());
-    EXPECT_EQ(lhs[i]->variance(), rhs[i]->variance());
-    EXPECT_EQ(lhs[i]->min(), rhs[i]->min());
-    EXPECT_EQ(lhs[i]->max(), rhs[i]->max());
-  }
-}
-
-MonteCarloResult Sweep(const ScenarioFn& scenario, bool batched, int jobs, int runs) {
-  BatchSteppingGuard guard(batched);
+TEST(SoaMonteCarloPinTest, SweepCountsCellSteps) {
+  uint64_t before = soa::TotalCellSteps();
   MonteCarloOptions options;
   options.base_seed = 4242;
-  options.jobs = jobs;
-  return RunMonteCarlo(scenario, runs, options);
-}
-
-TEST(SoaMonteCarloPinTest, FastChargeTabletBatchMatchesScalarAcrossJobs) {
-  MonteCarloResult scalar = Sweep(FastChargeTabletScenario, /*batched=*/false, /*jobs=*/1,
-                                  /*runs=*/6);
-  for (int jobs : {1, 2, 8}) {
-    MonteCarloResult batch = Sweep(FastChargeTabletScenario, /*batched=*/true, jobs, /*runs=*/6);
-    ExpectSweepsBitIdentical(batch, scalar,
-                             ("tablet jobs=" + std::to_string(jobs)).c_str());
-  }
-}
-
-TEST(SoaMonteCarloPinTest, SmartwatchWeekBatchMatchesScalarAcrossJobs) {
-  MonteCarloResult scalar = Sweep(SmartwatchWeekScenario, /*batched=*/false, /*jobs=*/1,
-                                  /*runs=*/4);
-  for (int jobs : {1, 2, 8}) {
-    MonteCarloResult batch = Sweep(SmartwatchWeekScenario, /*batched=*/true, jobs, /*runs=*/4);
-    ExpectSweepsBitIdentical(batch, scalar,
-                             ("week jobs=" + std::to_string(jobs)).c_str());
-  }
-}
-
-TEST(SoaMonteCarloPinTest, SweepCountsCellSteps) {
-  // The sweep's cell-step accounting must tick for the batch path: the
-  // bench's headline cell_steps_per_s metric reads this counter.
-  uint64_t before = soa::TotalCellSteps();
-  MonteCarloResult result = Sweep(FastChargeTabletScenario, /*batched=*/true, /*jobs=*/2,
-                                  /*runs=*/2);
+  options.jobs = 2;
+  MonteCarloResult result = RunMonteCarlo(FastChargeTabletScenario, /*runs=*/2, options);
   EXPECT_GT(result.cell_steps, 0u);
   EXPECT_GE(soa::TotalCellSteps() - before, result.cell_steps);
 }
